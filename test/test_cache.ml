@@ -81,6 +81,138 @@ let test_eviction () =
   let st = Cache.stats cache in
   Alcotest.(check bool) "evictions happened" true (st.Cache.evictions > 0)
 
+(* Victim order pinned against a naive reference LRU. A seeded mix of
+   appends (each followed, or not, by [note_write] and a write-allocate
+   [fill]), reads, extent resets with [note_reset] and [invalidate_all]
+   drives small caches; the evicted (extent, page) sequence read off the
+   [cache]/[evict] trace events and the hit/miss/eviction counters must
+   equal the reference's. The reference keeps resident pages most recent
+   first with the byte length each caches: a read page hits when that
+   length covers the bytes asked of it, a miss or a fill (re)inserts the
+   page at the front, and an overflow evicts the last one. *)
+module Ref_lru = struct
+  type t = {
+    cap : int;
+    mutable lru : ((int * int) * int) list;
+    mutable hits : int;
+    mutable misses : int;
+    mutable evicted : (int * int) list;  (* newest first *)
+  }
+
+  let create cap = { cap; lru = []; hits = 0; misses = 0; evicted = [] }
+  let remove r key = r.lru <- List.filter (fun (k, _) -> k <> key) r.lru
+
+  let insert r key len =
+    remove r key;
+    r.lru <- (key, len) :: r.lru;
+    if List.length r.lru > r.cap then begin
+      let victim = fst (List.nth r.lru (List.length r.lru - 1)) in
+      remove r victim;
+      r.evicted <- victim :: r.evicted
+    end
+
+  let read r ~ps ~soft ~extent ~off ~len =
+    for page = off / ps to (off + len - 1) / ps do
+      let key = (extent, page) in
+      match List.assoc_opt key r.lru with
+      | Some l when l >= min ps (off + len - (page * ps)) ->
+        r.hits <- r.hits + 1;
+        insert r key l
+      | _ ->
+        r.misses <- r.misses + 1;
+        insert r key (min ps (soft - (page * ps)))
+    done
+
+  let fill r ~ps ~extent ~off ~len =
+    for page = off / ps to (off + len - 1) / ps do
+      if page * ps >= off then insert r (extent, page) (min ps (off + len - (page * ps)))
+    done
+
+  let note_write r ~ps ~extent ~off ~len =
+    for page = off / ps to (off + len - 1) / ps do
+      remove r (extent, page)
+    done
+
+  let note_reset r ~extent = r.lru <- List.filter (fun ((e, _), _) -> e <> extent) r.lru
+end
+
+let run_victim_order ~capacity ~write_allocate ~seed =
+  Faults.disable_all ();
+  let obs = Obs.create ~trace_capacity:(1 lsl 16) () in
+  let disk = Disk.create config in
+  let sched = Io_sched.create ~obs ~seed:6L disk in
+  let cache = Cache.create ~capacity_pages:capacity ~write_allocate sched in
+  let r = Ref_lru.create capacity in
+  let rng = Random.State.make [| seed; capacity |] in
+  let ps = Io_sched.page_size sched in
+  let extents = Io_sched.extent_count sched in
+  for _ = 1 to 400 do
+    let extent = Random.State.int rng extents in
+    let soft = Io_sched.soft_ptr sched ~extent in
+    match Random.State.int rng 20 with
+    | n when n < 6 && Io_sched.capacity_left sched ~extent > 0 ->
+      let len = 1 + Random.State.int rng (min 24 (Io_sched.capacity_left sched ~extent)) in
+      let data = String.init len (fun _ -> Char.chr (97 + Random.State.int rng 26)) in
+      append sched ~extent data;
+      (* Skipping [note_write] leaves a short tail page cached: the next
+         read that needs more of it replaces it through the miss path. *)
+      if Random.State.int rng 4 > 0 then begin
+        Cache.note_write cache ~extent ~off:soft ~len;
+        Ref_lru.note_write r ~ps ~extent ~off:soft ~len
+      end;
+      if Random.State.bool rng then begin
+        Cache.fill cache ~extent ~off:soft data;
+        if write_allocate then Ref_lru.fill r ~ps ~extent ~off:soft ~len
+      end
+    | n when n < 17 && soft > 0 ->
+      let off = Random.State.int rng soft in
+      let len = 1 + Random.State.int rng (min 40 (soft - off)) in
+      let direct = ok (Io_sched.read sched ~extent ~off ~len) in
+      Alcotest.(check string) "cached read = direct read" direct
+        (ok (Cache.read cache ~extent ~off ~len));
+      Ref_lru.read r ~ps ~soft ~extent ~off ~len
+    | n when n < 19 && soft > 0 ->
+      ignore (ok (Io_sched.reset sched ~extent ~input:Dep.trivial));
+      Cache.note_reset cache ~extent;
+      Ref_lru.note_reset r ~extent
+    | 19 ->
+      Cache.invalidate_all cache;
+      r.Ref_lru.lru <- []
+    | _ -> ()
+  done;
+  Alcotest.(check bool) "trace ring did not wrap" true
+    (Obs.events_emitted obs <= 1 lsl 16);
+  let evicted =
+    List.filter_map
+      (fun (e : Obs.event) ->
+        if e.layer = "cache" && e.event = "evict" then
+          Some (int_of_string (List.assoc "extent" e.attrs), int_of_string (List.assoc "page" e.attrs))
+        else None)
+      (Obs.recent obs)
+  in
+  let st = Cache.stats cache in
+  let key = Alcotest.(pair int int) in
+  Alcotest.(check (list key)) "victim order" (List.rev r.evicted) evicted;
+  Alcotest.(check int) "hits" r.hits st.Cache.hits;
+  Alcotest.(check int) "misses" r.misses st.Cache.misses;
+  Alcotest.(check int) "evictions" (List.length r.evicted) st.Cache.evictions;
+  Alcotest.(check int) "no illegal transitions" 0
+    (List.length (Cache.transition_violations cache));
+  List.length r.evicted
+
+let test_victim_order () =
+  let total = ref 0 in
+  List.iter
+    (fun capacity ->
+      List.iter
+        (fun write_allocate ->
+          for seed = 1 to 10 do
+            total := !total + run_victim_order ~capacity ~write_allocate ~seed
+          done)
+        [ false; true ])
+    [ 1; 2; 4 ];
+  Alcotest.(check bool) "workload evicts" true (!total > 1000)
+
 let test_miss_hits_injected_fault () =
   let disk, sched, cache = make () in
   append sched ~extent:0 "payload-goes-here";
@@ -211,6 +343,7 @@ let () =
           Alcotest.test_case "write invalidates tail" `Quick test_note_write_invalidates_tail;
           Alcotest.test_case "reset invalidates" `Quick test_note_reset_invalidates;
           Alcotest.test_case "eviction" `Quick test_eviction;
+          Alcotest.test_case "victim order = reference LRU" `Quick test_victim_order;
           Alcotest.test_case "invalidate all" `Quick test_invalidate_all;
           Alcotest.test_case "write allocate" `Quick test_write_allocate_hits;
           Alcotest.test_case "fill no-op without write allocate" `Quick
