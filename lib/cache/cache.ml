@@ -1,4 +1,9 @@
-type entry = { data : string; mutable last_used : int }
+(* A resident page is a node of an intrusive, circular, doubly linked
+   recency list threaded through a sentinel: [t.lru.next] is the most
+   recently used page, [t.lru.prev] the least. A hit or a fill moves the
+   node to the head and eviction takes the tail, so every operation on
+   the order is O(1) and recency order is victim order. *)
+type entry = { key : int * int; mutable data : string; mutable prev : entry; mutable next : entry }
 
 type metrics = {
   m_hits : Obs.Counter.t;
@@ -13,23 +18,25 @@ type t = {
   capacity : int;
   write_allocate : bool;
   pages : (int * int, entry) Hashtbl.t;  (* (extent, page index) -> content *)
+  lru : entry;  (* sentinel of the recency list; holds no page *)
   states : (int * int, Conc.Cache_sm.state) Hashtbl.t;  (* absent = Empty *)
   audit : Conc.Cache_sm.audit;
   lock : Conc.Rwlock.t;
   obs : Obs.t;
   m : metrics;
-  mutable tick : int;
 }
 
 type stats = { hits : int; misses : int; evictions : int }
 
 let create ?(capacity_pages = 64) ?(write_allocate = false) ?obs sched =
   let obs = match obs with Some o -> o | None -> Io_sched.obs sched in
+  let rec lru = { key = (-1, -1); data = ""; prev = lru; next = lru } in
   {
     sched;
     capacity = max 1 capacity_pages;
     write_allocate;
     pages = Hashtbl.create 128;
+    lru;
     states = Hashtbl.create 128;
     audit = Conc.Cache_sm.auditor ();
     lock = Conc.Rwlock.create ();
@@ -42,7 +49,6 @@ let create ?(capacity_pages = 64) ?(write_allocate = false) ?obs sched =
         m_fills = Obs.counter ~coverage:true obs "cache.fill";
         m_resident = Obs.gauge obs "cache.resident_pages";
       };
-    tick = 0;
   }
 
 let write_allocate t = t.write_allocate
@@ -64,29 +70,47 @@ let transition t key new_s =
   else Hashtbl.replace t.states key new_s
 let sync_resident t = Obs.Gauge.set_int t.m.m_resident (Hashtbl.length t.pages)
 
-let touch t entry =
-  t.tick <- t.tick + 1;
-  entry.last_used <- t.tick
+let unlink e =
+  e.prev.next <- e.next;
+  e.next.prev <- e.prev
+
+let push_front t e =
+  e.prev <- t.lru;
+  e.next <- t.lru.next;
+  t.lru.next.prev <- e;
+  t.lru.next <- e
+
+let touch t e =
+  unlink e;
+  push_front t e
+
+(* Make [data] the content of [key] as its most recently used page. A
+   replaced entry (a stale short page, a fill over a cached page) keeps
+   its node and moves to the head. *)
+let install t key data =
+  match Hashtbl.find_opt t.pages key with
+  | Some e ->
+    e.data <- data;
+    touch t e
+  | None ->
+    let e = { key; data; prev = t.lru; next = t.lru } in
+    push_front t e;
+    Hashtbl.replace t.pages key e
+
+let remove t e =
+  unlink e;
+  Hashtbl.remove t.pages e.key;
+  transition t e.key Conc.Cache_sm.Empty
 
 let evict_if_needed t =
   if Hashtbl.length t.pages > t.capacity then begin
-    let victim = ref None in
-    (* Sorted iteration makes the last_used tie-break deterministic. *)
-    Util.Tbl.iter_sorted
-      (fun key entry ->
-        match !victim with
-        | Some (_, e) when e.last_used <= entry.last_used -> ()
-        | _ -> victim := Some (key, entry))
-      t.pages;
-    match !victim with
-    | Some ((extent, page), _) ->
-      Hashtbl.remove t.pages (extent, page);
-      transition t (extent, page) Conc.Cache_sm.Empty;
-      Obs.Counter.incr t.m.m_evictions;
-      if Obs.tracing t.obs then
-        Obs.emit t.obs ~layer:"cache" "evict"
-          [ ("extent", string_of_int extent); ("page", string_of_int page) ]
-    | None -> ()
+    let victim = t.lru.prev in
+    let extent, page = victim.key in
+    remove t victim;
+    Obs.Counter.incr t.m.m_evictions;
+    if Obs.tracing t.obs then
+      Obs.emit t.obs ~layer:"cache" "evict"
+        [ ("extent", string_of_int extent); ("page", string_of_int page) ]
   end
 
 (* Fetch one page's currently-readable prefix through the scheduler. *)
@@ -120,9 +144,7 @@ let fetch_page t ~extent ~page =
         end
         else data
       in
-      let entry = { data; last_used = 0 } in
-      touch t entry;
-      Hashtbl.replace t.pages (extent, page) entry;
+      install t (extent, page) data;
       transition t (extent, page) Conc.Cache_sm.Clean;
       evict_if_needed t;
       sync_resident t;
@@ -180,9 +202,7 @@ let fill_locked t ~extent ~off data =
       if page_start >= off then begin
         let avail = off + len - page_start in
         let data = String.sub data (page_start - off) (min ps avail) in
-        let entry = { data; last_used = 0 } in
-        touch t entry;
-        Hashtbl.replace t.pages (extent, page) entry;
+        install t (extent, page) data;
         (* A replaced entry stays Clean (no self-loop edges); a fresh one
            fills without an IO window: Empty -> Clean. *)
         if page_state t (extent, page) <> Conc.Cache_sm.Clean then
@@ -193,11 +213,7 @@ let fill_locked t ~extent ~off data =
     sync_resident t
   end
 
-let drop_page t key =
-  if Hashtbl.mem t.pages key then begin
-    Hashtbl.remove t.pages key;
-    transition t key Conc.Cache_sm.Empty
-  end
+let drop_page t key = Option.iter (remove t) (Hashtbl.find_opt t.pages key)
 
 let note_write_locked t ~extent ~off ~len =
   if len > 0 then begin
@@ -212,18 +228,28 @@ let note_reset_locked t ~extent =
   (* Fault #2: cache was not correctly drained after resetting an extent. *)
   if Faults.enabled Faults.F2_cache_not_drained then Faults.record_fired Faults.F2_cache_not_drained
   else begin
-    let stale = Util.Tbl.fold_sorted (fun (e, p) _ acc -> if e = extent then (e, p) :: acc else acc) t.pages [] in
-    List.iter (drop_page t) stale;
+    (* Probe the extent's own pages rather than walking the whole cache. *)
+    for page = 0 to (Io_sched.extent_size t.sched / Io_sched.page_size t.sched) - 1 do
+      drop_page t (extent, page)
+    done;
     sync_resident t
   end
 
 let invalidate_all_locked t =
-  Util.Tbl.iter_sorted (fun key _ -> transition t key Conc.Cache_sm.Empty) t.pages;
+  let rec drain e =
+    if e != t.lru then begin
+      transition t e.key Conc.Cache_sm.Empty;
+      drain e.next
+    end
+  in
+  drain t.lru.next;
+  t.lru.next <- t.lru;
+  t.lru.prev <- t.lru;
   Hashtbl.reset t.pages;
   sync_resident t
 
 (* Public entry points take the cache's rwlock in write mode: even [read]
-   mutates (LRU ticks, miss-path inserts, evictions), which is exactly
+   mutates (recency moves, miss-path inserts, evictions), which is exactly
    why a reader-writer split inside the cache would be unsound — the
    paper's SC-for-race-free argument needs every Hashtbl access inside a
    critical section. The lock nests inside the store's stack lock

@@ -1,5 +1,13 @@
 (** Page-granular LRU buffer cache over scheduler reads.
 
+    {b Eviction.} Resident pages form an intrusive recency list: a hit or
+    an insert moves the page to the head, and an insert that overflows
+    [capacity_pages] evicts the tail. Every step is O(1), and recency
+    order is victim order: the page evicted is always the least recently
+    used one. {!note_reset} probes only the reset extent's own page
+    indices and {!invalidate_all} walks the list, so no operation scans
+    or sorts the whole cache.
+
     Reads assemble from cached pages, fetching misses through
     {!Io_sched.read} (where injected IO failures fire — cache hits
     deliberately bypass injection, as a real cache bypasses the disk).
@@ -12,7 +20,7 @@
     {b Concurrency.} The cache is safe to share across domains: every
     public operation runs under an internal writer-preferring
     {!Conc.Rwlock}, held in write mode even for {!read} because the read
-    path mutates (LRU ticks, miss-path inserts, evictions). In the
+    path mutates (recency moves, miss-path inserts, evictions). In the
     store's global lock order the cache lock is innermost
     (shard < stack < cache) and acquires nothing while held.
 

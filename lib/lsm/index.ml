@@ -236,10 +236,7 @@ let scan t ~lo ~hi =
         if not (overlapping r) then Ok acc
         else
           let* run = load_run t r in
-          let entries =
-            Run.to_list run |> List.filter (fun (k, _) -> in_range ~lo ~hi k) |> Array.of_list
-          in
-          Ok ({ entries; pos = 0 } :: acc))
+          Ok ({ entries = Run.slice run ~lo ~hi; pos = 0 } :: acc))
       (Ok []) (all_runs t)
   in
   Ok { sources = { entries = mem; pos = 0 } :: List.rev run_sources }

@@ -27,6 +27,23 @@ let find t key =
 
 let to_list = Array.to_list
 
+(* Index of the first key at or above [k] ([strict]: above [k]). *)
+let bound t ~strict k =
+  let rec go lo hi =
+    if lo >= hi then lo
+    else begin
+      let mid = (lo + hi) / 2 in
+      let c = String.compare (fst t.(mid)) k in
+      if c < 0 || (strict && c = 0) then go (mid + 1) hi else go lo mid
+    end
+  in
+  go 0 (Array.length t)
+
+let slice t ~lo ~hi =
+  let first = match lo with None -> 0 | Some l -> bound t ~strict:false l in
+  let stop = match hi with None -> Array.length t | Some h -> bound t ~strict:true h in
+  if stop <= first then [||] else Array.sub t first (stop - first)
+
 let merge ~drop_tombstones runs =
   (* Head shadows tail: fold oldest-first so newer bindings overwrite. *)
   let m =

@@ -20,6 +20,10 @@ val find : t -> string -> Entry.t option
 (** All pairs in key order. *)
 val to_list : t -> (string * Entry.t) list
 
+(** [slice t ~lo ~hi] — the pairs with [lo <= key <= hi] in key order
+    (a [None] bound is open), found by binary search and copied out. *)
+val slice : t -> lo:string option -> hi:string option -> (string * Entry.t) array
+
 (** [merge ~drop_tombstones newest_first] merges runs (head shadows tail).
     [drop_tombstones:true] is valid only when no older entry for any merged
     key can survive elsewhere — i.e. when merging into the {e deepest}

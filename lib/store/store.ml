@@ -1296,20 +1296,19 @@ module Shared = struct
             match Default.list t.base with
             | Error _ as e -> e
             | Ok base_keys ->
-              let adds, tombs =
+              (* A staged put or tombstone shadows the base key. *)
+              let staged = Hashtbl.create 64 in
+              let adds =
                 Array.fold_left
-                  (fun (adds, tombs) tbl ->
+                  (fun adds tbl ->
                     Util.Tbl.fold_sorted
-                      (fun k v (adds, tombs) ->
-                        match v with
-                        | Some _ -> (k :: adds, tombs)
-                        | None -> (adds, k :: tombs))
-                      tbl (adds, tombs))
-                  ([], []) tables
+                      (fun k v adds ->
+                        Hashtbl.replace staged k ();
+                        match v with Some _ -> k :: adds | None -> adds)
+                      tbl adds)
+                  [] tables
               in
-              let live =
-                List.filter (fun k -> not (List.mem k adds || List.mem k tombs)) base_keys
-              in
+              let live = List.filter (fun k -> not (Hashtbl.mem staged k)) base_keys in
               Ok (List.sort_uniq compare (adds @ live))))
 
   (* Materialized range scan with the staged overlay applied: staged

@@ -3,23 +3,23 @@
    here costs an allocation per operation and this loop runs over every
    byte the store reads or writes. The boundary stays int32. *)
 
+(* Built at module initialisation, not lazily: two domains forcing one
+   [lazy] at once make one of them raise [CamlinternalLazy.Undefined]. *)
 let table =
-  lazy
-    (let t = Array.make 256 0 in
-     for n = 0 to 255 do
-       let c = ref n in
-       for _ = 0 to 7 do
-         if !c land 1 <> 0 then c := 0xEDB88320 lxor (!c lsr 1) else c := !c lsr 1
-       done;
-       t.(n) <- !c
-     done;
-     t)
+  let t = Array.make 256 0 in
+  for n = 0 to 255 do
+    let c = ref n in
+    for _ = 0 to 7 do
+      if !c land 1 <> 0 then c := 0xEDB88320 lxor (!c lsr 1) else c := !c lsr 1
+    done;
+    t.(n) <- !c
+  done;
+  t
 
 let update crc b off len =
-  let t = Lazy.force table in
   let crc = ref (Int32.to_int crc land 0xFFFFFFFF lxor 0xFFFFFFFF) in
   for i = off to off + len - 1 do
-    crc := t.((!crc lxor Char.code (Bytes.unsafe_get b i)) land 0xFF) lxor (!crc lsr 8)
+    crc := table.((!crc lxor Char.code (Bytes.unsafe_get b i)) land 0xFF) lxor (!crc lsr 8)
   done;
   Int32.of_int (!crc lxor 0xFFFFFFFF)
 

@@ -359,6 +359,45 @@ let prop_index_matches_level_model =
       | Error _ -> ok := false);
       !ok)
 
+(* Property: [Run.slice] equals filtering the whole run, for bounds drawn
+   from keys the run holds, keys it lacks (including ones below and above
+   every key), open bounds, and empty or inverted ranges. *)
+let prop_run_slice_matches_filter =
+  QCheck.Test.make ~name:"Run.slice = filtered run" ~count:500 QCheck.(int_bound 100_000)
+    (fun seed ->
+      let rng = Rng.create (Int64.of_int seed) in
+      let universe = Array.init 20 (Printf.sprintf "k%02d") in
+      let pairs =
+        List.init (Rng.int rng 13) (fun i ->
+            let e = if Rng.int rng 4 = 0 then Lsm.Entry.Tombstone else Lsm.Entry.Put [ loc i ] in
+            (Rng.pick rng universe, e))
+      in
+      let run = Lsm.Run.of_pairs pairs in
+      let present = Array.of_list (List.map fst (Lsm.Run.to_list run)) in
+      let bound () =
+        match Rng.int rng 4 with
+        | 0 -> None
+        | 1 when Array.length present > 0 -> Some (Rng.pick rng present)
+        | 2 -> Some (Rng.pick rng [| ""; "k"; "k05x"; "zz" |])
+        | _ -> Some (Rng.pick rng universe)
+      in
+      let in_range ~lo ~hi k =
+        (match lo with None -> true | Some l -> String.compare k l >= 0)
+        && match hi with None -> true | Some h -> String.compare k h <= 0
+      in
+      List.for_all
+        (fun _ ->
+          let lo = bound () and hi = bound () in
+          let expected =
+            Lsm.Run.to_list run |> List.filter (fun (k, _) -> in_range ~lo ~hi k) |> Array.of_list
+          in
+          Lsm.Run.slice run ~lo ~hi = expected
+          && Lsm.Run.slice run ~lo:hi ~hi:lo
+             = (Lsm.Run.to_list run
+               |> List.filter (fun (k, _) -> in_range ~lo:hi ~hi:lo k)
+               |> Array.of_list))
+        (List.init 8 Fun.id))
+
 (* Property: the index against a plain map under random put/delete/flush/
    compact/recover traffic (the Fig. 3 pattern at the component level). *)
 let prop_index_matches_map =
@@ -441,6 +480,7 @@ let () =
           Alcotest.test_case "recover levelled tree" `Quick test_recover_levelled_tree;
           Alcotest.test_case "scan cursor snapshot" `Quick test_scan_cursor_snapshot;
           QCheck_alcotest.to_alcotest prop_index_matches_level_model;
+          QCheck_alcotest.to_alcotest prop_run_slice_matches_filter;
         ] );
       ( "reclamation callbacks",
         [

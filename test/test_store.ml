@@ -488,6 +488,47 @@ let test_shared_delete_batch () =
   Alcotest.(check (list string)) "durable key set after drain" [ "db" ]
     (ok (S.list (Sh.store sh)))
 
+(* [Shared.list] over ~2k drained base keys with staged puts (new keys
+   and overwrites) and staged tombstones (of base keys and of absent
+   ones): the overlay listing must equal the expected key set, and the
+   base store's own listing once the staging layer is drained. *)
+let test_shared_list_large_overlay () =
+  Faults.disable_all ();
+  (* The default 2 MiB disk fills at about 2k one-byte keys, through
+     [Store.Default] as well, so this test gets four times the extents. *)
+  let config =
+    { S.default_config with disk = { S.default_config.disk with Disk.extent_count = 256 } }
+  in
+  let sh = Sh.create ~shards:4 config in
+  let key i = Printf.sprintf "base%05d" i in
+  for chunk = 0 to 19 do
+    ignore (sh_ok (Sh.put_batch sh (List.init 100 (fun i -> (key ((chunk * 100) + i), "v")))));
+    ignore (sh_ok (Sh.flush sh))
+  done;
+  Alcotest.(check int) "base drained" 0 (Sh.staged_count sh);
+  for i = 0 to 199 do
+    sh_ok (Sh.put sh ~key:(Printf.sprintf "new%04d" i) ~value:"n");
+    sh_ok (Sh.put sh ~key:(key (i * 7)) ~value:"over");
+    sh_ok (Sh.delete sh ~key:(key ((i * 7) + 3)));
+    sh_ok (Sh.delete sh ~key:(Printf.sprintf "absent%04d" i))
+  done;
+  let deleted = Hashtbl.create 256 in
+  for i = 0 to 199 do
+    Hashtbl.replace deleted (key ((i * 7) + 3)) ()
+  done;
+  let expected =
+    List.sort compare
+      (List.init 200 (Printf.sprintf "new%04d")
+      @ List.filter (fun k -> not (Hashtbl.mem deleted k)) (List.init 2000 key))
+  in
+  let listed = sh_ok (Sh.list sh) in
+  Alcotest.(check int) "key count" (List.length expected) (List.length listed);
+  Alcotest.(check (list string)) "overlay listing" expected listed;
+  ignore (sh_ok (Sh.flush sh));
+  Alcotest.(check int) "drained" 0 (Sh.staged_count sh);
+  Alcotest.(check (list string)) "Shared.list = Default.list" (ok (S.list (Sh.store sh))) listed;
+  Alcotest.(check (list string)) "listing unchanged by the drain" listed (sh_ok (Sh.list sh))
+
 (* The tentpole acceptance check, in-tree: a scan must yield byte-identical
    results from the levelled Default store (cursor drain), the Shared
    overlay (staged mutations applied over the drained scan), and the
@@ -809,6 +850,8 @@ let () =
           Alcotest.test_case "put_batch groups by shard" `Quick
             test_shared_put_batch_groups_by_shard;
           Alcotest.test_case "delete_batch per-op results" `Quick test_shared_delete_batch;
+          Alcotest.test_case "list over a large staged overlay" `Quick
+            test_shared_list_large_overlay;
           Alcotest.test_case "multi-domain smoke" `Quick test_shared_multi_domain_smoke;
         ] );
       ( "maintenance plane (shared)",

@@ -42,6 +42,16 @@ let test_rng_chance_extremes () =
   Alcotest.(check bool) "p=0 never" false (Rng.chance rng 0.0);
   Alcotest.(check bool) "p=1 always" true (Rng.chance rng 1.0)
 
+(* Two domains digest the same buffers at once and must get the
+   sequential digests. This runs before any other CRC in the process, so
+   it is the table's first use: a lazily built table raised
+   [CamlinternalLazy.Undefined] when both domains forced it together. *)
+let test_crc_concurrent_first_use () =
+  let bufs = List.init 64 (fun i -> String.init (1 + (i * 37)) (fun j -> Char.chr ((i + j) land 0xFF))) in
+  let concurrent = Conc.Domains.spawn_join ~domains:2 (fun _ -> List.map Crc32.digest_string bufs) in
+  let sequential = List.map Crc32.digest_string bufs in
+  List.iter (Alcotest.(check (list int32)) "concurrent = sequential" sequential) concurrent
+
 let test_crc_known () =
   (* Standard check value for "123456789". *)
   Alcotest.(check int32) "crc32 vector" 0xCBF43926l (Crc32.digest_string "123456789")
@@ -152,6 +162,7 @@ let () =
         ] );
       ( "crc32",
         [
+          Alcotest.test_case "concurrent first use" `Quick test_crc_concurrent_first_use;
           Alcotest.test_case "known vector" `Quick test_crc_known;
           Alcotest.test_case "slice" `Quick test_crc_slice;
           Alcotest.test_case "detects bit flip" `Quick test_crc_detects_flip;
