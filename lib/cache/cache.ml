@@ -129,7 +129,13 @@ let fetch_page t ~extent ~page =
     transition t (extent, page) Conc.Cache_sm.Reading;
     match Io_sched.read t.sched ~extent ~off:start ~len with
     | Error _ as e ->
-      transition t (extent, page) Conc.Cache_sm.Empty;
+      (* A failed refetch keeps the stale entry resident: its shorter
+         data is still a valid prefix (extents only grow until a reset,
+         and a reset invalidates), so it goes back to Clean. A fresh
+         miss has no entry and ends Empty. *)
+      transition t (extent, page)
+        (if Hashtbl.mem t.pages (extent, page) then Conc.Cache_sm.Clean
+         else Conc.Cache_sm.Empty);
       e
     | Ok data ->
       (* Fault #17 (extra, section 8.3): the defect lives on the miss

@@ -1,76 +1,48 @@
-(** Racing-domain linearizability workload over ONE shared store — half
-    of the [validate --shared] conformance gate (the other half is the
-    {!Conc.Conc_shared} model check).
+(** Racing-domain workload over ONE shared store, judged by the offline
+    wire-trace audit — half of the [validate --shared] conformance gate
+    (the other half is the {!Conc.Conc_shared} model check), the whole
+    store-side half of [validate --maint], and the shared arm of E16
+    ([validate --trace-audit]).
 
-    N real domains issue a seeded mix of put/get/delete/batch/flush
-    against a single {!Store.Shared}, timestamping every operation with
-    a shared atomic clock. After the domains join, each key's history is
-    checked for linearizability against the sequential register model
-    ([string option], {!Linearize.find}); the staging layer is drained
-    and the shared view must agree with the underlying sequential store
-    on every key.
+    N real domains issue a seeded mix of get/put/delete/two-key
+    batch/three-key scan/flush against a single {!Store.Shared} whose
+    [?trace] tap feeds a {!Tracecheck.Trace.Recorder}, so every operation
+    is an invocation/response interval and every drain a [Flush] marker.
+    After the domains join, the staging layer is drained and the shared
+    view must agree with the underlying sequential store on every key;
+    those shared reads are recorded too. The whole history is then
+    judged by {!Tracecheck.Audit} against the per-key model (committed
+    value plus indeterminate set, consistent scan snapshots).
 
     The key universe is scaled with the op count so per-key histories
-    stay short (linearizability checking is exponential per key), and
-    put values are unique per (domain, op), which both strengthens the
-    check (a stale read cannot masquerade as a fresh one) and prunes the
-    search. *)
-
-type op = Put of string | Get | Delete
-type res = Acked | Got of string option
-
-type key_report = { key : string; events : int; linearizable : bool }
+    stay short, and put values are unique per (domain, op), which both
+    strengthens the check (a stale read cannot masquerade as a fresh
+    one) and prunes the search. *)
 
 type report = {
   domains : int;
   ops_per_domain : int;
-  shards : int;
   keys : int;
-  flushes : int;  (** mid-run flushes issued by racing domains *)
-  errors : int;
-  events : int;  (** per-key events checked, summed *)
-  max_key_events : int;
-  key_reports : key_report list;  (** keys whose history was non-empty *)
+  errors : int;  (** caller-side [Error]s across the racing domains *)
   final_drain_ok : bool;  (** post-join flush succeeded and staging is empty *)
   post_drain_consistent : bool;  (** Shared.get = underlying get for every key *)
+  audit : Tracecheck.Audit.report;  (** the recorded history, post-drain reads included *)
   maint : Store.Shared.Maint.stats option;
       (** stats of the racing maintenance domain, when one was attached *)
 }
 
 val pp_report : Format.formatter -> report -> unit
 
-(** Zero errors, a non-empty event set, every key linearizable, final
-    drain clean, post-drain views consistent — and, when a maintenance
-    domain raced the run, zero maintenance errors over a positive step
-    count. *)
+(** Zero errors, a non-empty audited history whose verdict is [Valid]
+    (never [Truncated] or [Gave_up]), final drain clean, post-drain views
+    consistent — and, when a maintenance domain raced the run, zero
+    maintenance errors and at least one maintenance flush. *)
 val ok : report -> bool
 
-(** [run ?maint ()] — with [maint = true] (default false) a dedicated
-    maintenance domain ({!Store.Shared.Maint}) races the foreground
-    domains for the whole run: round-robin narrowed shard flushes plus
-    periodic compactions and reclaims, all of which must be invisible to
-    the per-key histories. *)
-val run :
-  ?domains:int ->
-  ?ops_per_domain:int ->
-  ?shards:int ->
-  ?seed:int ->
-  ?maint:bool ->
-  unit ->
-  report
-
-(** [traced_maint ()] — the end-to-end cross-check: foreground domains
-    run a put/get/delete/batch/scan mix against a store with a
-    wire-trace recorder attached while the maintenance domain races
-    (its flushes leave [Flush] markers in the trace); returns the
-    offline {!Tracecheck.Audit} report over the captured history plus
-    the maintenance stats. The audit must come back [Valid] — a
-    narrowed flush racing real traffic leaves a linearizable wire
-    history. *)
-val traced_maint :
-  ?domains:int ->
-  ?ops_per_domain:int ->
-  ?shards:int ->
-  ?seed:int ->
-  unit ->
-  Tracecheck.Audit.report * Store.Shared.Maint.stats
+(** [run ?domains ?ops_per_domain ?seed ?maint ()] (defaults 4 domains,
+    64 ops each, seed 0) — with [maint = true] (default false) a
+    dedicated maintenance domain ({!Store.Shared.Maint}) races the
+    foreground domains for the whole run: round-robin narrowed shard
+    flushes plus periodic compactions and reclaims, all of which must be
+    invisible to the audited history. *)
+val run : ?domains:int -> ?ops_per_domain:int -> ?seed:int -> ?maint:bool -> unit -> report

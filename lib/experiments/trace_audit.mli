@@ -11,9 +11,10 @@
     - {b chaos}: every campaign of the standard sweep re-runs with a
       recorder attached (faults armed by the ops, crash/heal markers
       included) and its trace must audit [Valid];
-    - {b shared}: a racing multi-domain [Store.Shared] workload (puts,
-      gets, deletes, two-key batches, narrow snapshot scans, mid-run
-      flushes) recorded concurrently from all domains;
+    - {b shared}: the racing multi-domain [Store.Shared] workload of
+      {!Shared_lin.run} (puts, gets, deletes, two-key batches, narrow
+      snapshot scans, mid-run flushes, post-drain reads) recorded
+      concurrently from all domains;
     - {b node}: an [Rpc.Node] request-plane workload, including a
       paginated scan driven through continuation tokens.
 
@@ -53,7 +54,7 @@ type summary = {
 (** [run ?domains ?campaigns ?length ?seed ?shared_ops ()] — audit
     [campaigns] chaos campaigns of [length] ops (sharded over [domains],
     defaults 200/40/seed 0), one racing [Store.Shared] run with
-    [domains] domains x [shared_ops] ops each (default 300), one
+    [max 2 domains] domains x [shared_ops] ops each (default 300), one
     [Rpc.Node] workload, the forged-history teeth and the armed-#18
     teeth. *)
 val run :

@@ -330,6 +330,26 @@ let test_lifecycle_audit_clean () =
   Alcotest.(check int) "no illegal transitions" 0
     (List.length (Cache.transition_violations cache))
 
+(* A stale short page whose refetch fails stays resident and must go
+   back to Clean: left Empty, its later hit, eviction or invalidation
+   would record an illegal Empty -> Empty edge. *)
+let test_failed_refetch_keeps_lifecycle_legal () =
+  Faults.disable_all ();
+  let disk, sched, cache = make () in
+  append sched ~extent:0 "abc";
+  ignore (ok (Cache.read cache ~extent:0 ~off:0 ~len:3));
+  (* no note_write: the cached page is now a stale short prefix *)
+  append sched ~extent:0 "def";
+  Disk.fail_once disk ~extent:0;
+  (match Cache.read cache ~extent:0 ~off:0 ~len:6 with
+  | Error (Io_sched.Io Disk.Transient) -> ()
+  | _ -> Alcotest.fail "refetch must surface injected fault");
+  Alcotest.(check string) "short prefix still served" "ab"
+    (ok (Cache.read cache ~extent:0 ~off:0 ~len:2));
+  Cache.invalidate_all cache;
+  Alcotest.(check int) "no illegal transitions" 0
+    (List.length (Cache.transition_violations cache))
+
 let () =
   Faults.disable_all ();
   Faults.reset_counters ();
@@ -356,6 +376,8 @@ let () =
           Alcotest.test_case "#2 stale after reset" `Quick test_f2_serves_stale_after_reset;
           Alcotest.test_case "miss hits injected fault" `Quick test_miss_hits_injected_fault;
           Alcotest.test_case "hit bypasses injected fault" `Quick test_hit_bypasses_injected_fault;
+          Alcotest.test_case "failed refetch keeps lifecycle legal" `Quick
+            test_failed_refetch_keeps_lifecycle_legal;
           Alcotest.test_case "#17 corrupts only the miss path" `Quick
             test_f17_corrupts_only_miss_path;
         ] );

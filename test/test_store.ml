@@ -613,49 +613,22 @@ let prop_scan_three_way_identity =
       | Error msg -> QCheck.Test.fail_reportf "level invariants: %s" msg);
       true)
 
-(* Racing domains on one shared store: no errors, and after the joins the
-   drained state serves every key consistently. The per-key
-   linearizability gate lives in Experiments.Shared_lin / validate
-   --shared; this is the in-tree smoke version. *)
+(* Racing domains on one shared store, without a maintenance domain: no
+   caller-side errors, a clean final drain, the drained state serving
+   every key consistently, and the wire trace recorded through the
+   store's tap auditing Valid (Experiments.Shared_lin, the store-side
+   half of validate --shared). *)
 let test_shared_multi_domain_smoke () =
   Faults.disable_all ();
-  let sh = Sh.create ~shards:4 S.default_config in
-  let domains = 4 and per_domain = 30 in
-  let errors = Atomic.make 0 in
-  let worker d () =
-    let rng = Rng.create (Int64.of_int (1000 + d)) in
-    for i = 0 to per_domain - 1 do
-      let key = Printf.sprintf "k%d" (Rng.int rng 8) in
-      let r =
-        match Rng.int rng 4 with
-        | 0 -> Result.map (fun _ -> ()) (Sh.get sh ~key)
-        | 1 -> Sh.delete sh ~key
-        | 2 -> Result.map (fun _ -> ()) (Sh.flush sh)
-        | _ -> Sh.put sh ~key ~value:(Printf.sprintf "d%d-%d" d i)
-      in
-      match r with Ok () -> () | Error _ -> Atomic.incr errors
-    done
-  in
-  let ds = List.init (domains - 1) (fun d -> Domain.spawn (worker (d + 1))) in
-  worker 0 ();
-  List.iter Domain.join ds;
-  Alcotest.(check int) "no errors under contention" 0 (Atomic.get errors);
-  ignore (sh_ok (Sh.flush sh));
-  Alcotest.(check int) "fully drained" 0 (Sh.staged_count sh);
-  (* overlay reads now agree with the underlying store for every key *)
-  for i = 0 to 7 do
-    let key = Printf.sprintf "k%d" i in
-    Alcotest.(check (option string))
-      ("consistent " ^ key)
-      (ok (S.get (Sh.store sh) ~key))
-      (sh_ok (Sh.get sh ~key))
-  done
+  let r = Experiments.Shared_lin.run ~domains:4 ~ops_per_domain:30 () in
+  if not (Experiments.Shared_lin.ok r) then
+    Alcotest.failf "racing run failed:@.%a" Experiments.Shared_lin.pp_report r
 
 (* {2 The maintenance plane} *)
 
-(* Foreground domains race a dedicated maintenance domain; every per-key
-   history must still linearize against the register model, and the
-   maintenance domain itself must finish with zero errors. *)
+(* Foreground domains race a dedicated maintenance domain; the recorded
+   wire trace must still audit Valid, and the maintenance domain itself
+   must finish with zero errors. *)
 let test_shared_maint_racing_linearizable () =
   Faults.disable_all ();
   let r = Experiments.Shared_lin.run ~domains:3 ~ops_per_domain:40 ~maint:true () in

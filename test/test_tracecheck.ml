@@ -128,6 +128,21 @@ let test_audit_failed_mutation_indeterminate () =
   Alcotest.check verdict "pending put readable" A.Valid report.A.verdict;
   Alcotest.(check int) "one pending op" 1 report.A.pending
 
+let test_audit_same_key_batch_last_wins () =
+  (* Two ops on one key inside one acked batch: the batch applies them
+     in request order under one lock hold, so only the last value is
+     ever observable. *)
+  let history v =
+    [
+      inv 1 1 (T.Batch [ ("a", Some "x"); ("a", Some "y") ]);
+      resp 2 1 (T.Batch_done [ true; true ]);
+      inv 3 2 (T.Get { key = "a" });
+      resp 4 2 (T.Got (Some v));
+    ]
+  in
+  Alcotest.check verdict "last op readable" A.Valid (A.run (history "y")).A.verdict;
+  Alcotest.check verdict "overwritten op rejected" A.Rejected (A.run (history "x")).A.verdict
+
 (* {2 Audit: seeded violations (the teeth)} *)
 
 let test_audit_rejects_lost_acked_write () =
@@ -315,6 +330,8 @@ let () =
           Alcotest.test_case "concurrent overlap" `Quick test_audit_accepts_concurrent_overlap;
           Alcotest.test_case "failed mutation indeterminate" `Quick
             test_audit_failed_mutation_indeterminate;
+          Alcotest.test_case "same-key batch last wins" `Quick
+            test_audit_same_key_batch_last_wins;
         ] );
       ( "audit rejects",
         [
